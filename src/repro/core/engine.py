@@ -158,6 +158,9 @@ class TLSEngine:
         self.subthreads_started = 0
         self.epochs_committed = 0
         self.value_predictions_used = 0
+        #: Retired instructions discarded by rewinds (the rewound
+        #: sub-threads' work, which must execute again).
+        self.failed_instruction_replays = 0
 
     # ------------------------------------------------------------------
     # ContextDirectory interface (consulted by the L2)
@@ -543,6 +546,8 @@ class TLSEngine:
         """Apply a rewind to protocol state; timing is left to the machine."""
         if self.pre_rewind is not None:
             self.pre_rewind(epoch)
+        for cp in epoch.subthreads[subthread_idx:]:
+            self.failed_instruction_replays += cp.instructions
         squashed_ctxs, latches, failed = epoch.rewind_to(subthread_idx, 0.0)
         self.l2.squash_ctxs(epoch.order, squashed_ctxs)
         # Free contexts above the rewind point for reuse; the target

@@ -88,6 +88,18 @@ class GShareBranchPredictor:
         for idx, old in reversed(log):
             counters[idx] = old
 
+    def warm_state(self) -> tuple:
+        """Immutable copy of the whole predictor: counters, history,
+        tallies (functional-warming snapshot)."""
+        return (bytes(self._counters), self._history, self.predictions,
+                self.mispredictions)
+
+    def restore_warm_state(self, state: tuple) -> None:
+        counters, self._history, self.predictions, self.mispredictions = (
+            state
+        )
+        self._counters = bytearray(counters)
+
     @property
     def misprediction_rate(self) -> float:
         if self.predictions == 0:

@@ -642,6 +642,7 @@ def main(argv=None) -> int:
                 "run.finish",
                 wall_seconds=round(time.perf_counter() - run_t0, 3),
                 experiments=wanted,
+                trace_spec_keys=runner.trace_spec_keys(),
             )
             tracer.close()
     return 0

@@ -246,6 +246,34 @@ class L1Cache:
         )
 
     # ------------------------------------------------------------------
+    # Functional-warming snapshot (repro.sim.machine.WarmState)
+    # ------------------------------------------------------------------
+
+    def warm_state(self) -> tuple:
+        """Immutable copy of non-speculative contents and tallies.
+
+        ``(((set index, tags LRU-first), ...), hits, misses)``.  Raises
+        if any line carries a speculative mark: warm state is
+        architectural only.
+        """
+        if self._spec_tags:
+            raise RuntimeError("L1 holds speculative lines")
+        sets = tuple(
+            (idx, tuple(cset._order)) for idx, cset in self._sets.items()
+        )
+        return sets, self.hits, self.misses
+
+    def restore_warm_state(self, state: tuple) -> None:
+        """Install a :meth:`warm_state` snapshot into this empty cache."""
+        sets, self.hits, self.misses = state
+        for idx, tags in sets:
+            cset = LRUSet(self._assoc)
+            cset._order = list(tags)
+            cset._by_tag = {tag: L1Line(tag=tag) for tag in tags}
+            self._sets[idx] = cset
+            self.resident.update(tags)
+
+    # ------------------------------------------------------------------
     # Introspection (tests)
     # ------------------------------------------------------------------
 

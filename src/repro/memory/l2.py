@@ -68,7 +68,7 @@ class ContextDirectory:
         raise NotImplementedError
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class L2Entry:
     """One version of one cache line.
 
@@ -77,6 +77,11 @@ class L2Entry:
     version.  ``spec_loaded`` maps context -> loaded word mask (the full
     line mask under the paper's line-granularity load tracking);
     ``spec_mod`` maps context -> speculatively-modified word mask.
+
+    Entries compare (and hash) by identity: distinct versions of a line
+    can hold equal fields (two committed copies mid commit-merge), and
+    every removal, LRU touch and membership test must act on *this*
+    object, never on an equal-looking one.
     """
 
     tag: int
@@ -141,9 +146,8 @@ class L2Set:
         return [e for e in self._entries if e.tag == tag]
 
     def touch(self, entry: L2Entry) -> None:
-        # Identity-based: L2Entry is a value-comparing dataclass and
-        # distinct versions can transiently compare equal (e.g. two
-        # committed copies mid-merge); LRU must move *this* object.
+        # Identity scan: L2Entry compares by identity, so ``is`` is
+        # both exact and the cheapest test.
         for i, e in enumerate(self._entries):
             if e is entry:
                 self._entries.pop(i)
@@ -828,6 +832,43 @@ class SpeculativeL2:
         if any(e is entry for e in cset.entries()):
             cset.remove(entry)
             self._unindex(entry)
+
+    # ------------------------------------------------------------------
+    # Functional-warming snapshot (repro.sim.machine.WarmState)
+    # ------------------------------------------------------------------
+
+    def warm_state(self) -> tuple:
+        """Immutable copy of committed contents and hit/miss tallies.
+
+        ``(((set index, ((tag, dirty), ...) LRU-first), ...), hits,
+        misses)``.  Raises unless the cache holds committed state only:
+        no context bits, an empty victim cache, and no speculative
+        version or load/modify bit on any entry.
+        """
+        if self._ctx_lines or len(self.victim):
+            raise RuntimeError("L2 holds speculative state")
+        sets = []
+        for idx, cset in self._sets.items():
+            for e in cset._entries:
+                if e.owner != COMMITTED or e.spec_loaded or e.spec_mod:
+                    raise RuntimeError("L2 holds speculative state")
+            sets.append(
+                (idx, tuple((e.tag, e.dirty) for e in cset._entries))
+            )
+        return tuple(sets), self.hits, self.misses
+
+    def restore_warm_state(self, state: tuple) -> None:
+        """Install a :meth:`warm_state` snapshot into this empty cache,
+        rebuilding the per-line version index from it."""
+        sets, self.hits, self.misses = state
+        index = self._line_versions
+        for idx, lines in sets:
+            cset = L2Set(self._assoc)
+            for tag, dirty in lines:
+                entry = L2Entry(tag=tag, dirty=dirty)
+                cset._entries.append(entry)
+                index[tag] = [entry]
+            self._sets[idx] = cset
 
     # ------------------------------------------------------------------
     # Introspection (tests / invariant checks)

@@ -73,6 +73,14 @@ def _manifest_of(records: List[dict]) -> Optional[dict]:
     return None
 
 
+def _finish_of(records: List[dict]) -> dict:
+    """Attributes of the last ``run.finish`` event ({} if none)."""
+    for rec in reversed(records):
+        if rec.get("type") == "event" and rec.get("name") == "run.finish":
+            return rec.get("attrs") or {}
+    return {}
+
+
 def _span_groups(records: List[dict]) -> Dict[str, Dict[str, float]]:
     groups: Dict[str, Dict[str, float]] = {}
     for rec in records:
@@ -276,8 +284,16 @@ def render_report(path, top_spans: int = 12, top_pairs: int = 10) -> str:
             f"  python {manifest.get('python_version')}"
             f"  cpus {manifest.get('cpu_count')}"
         )
+        # The header manifest is written before the run starts; the
+        # closing run.finish event carries what only the end knows.
+        finish = _finish_of(records)
         wall = manifest.get("wall_seconds")
-        traces = manifest.get("trace_spec_keys") or []
+        if wall is None:
+            wall = finish.get("wall_seconds")
+        traces = (
+            manifest.get("trace_spec_keys")
+            or finish.get("trace_spec_keys") or []
+        )
         header.append(
             f"wall time: {wall if wall is not None else '?'}s"
             f"  traces: {len(traces)}"

@@ -54,7 +54,7 @@ STORE_FORMAT = "repro-result-store"
 #: Bump whenever serialized ``SimulationStats`` change meaning without
 #: any keyed field changing; old entries then stop matching and are
 #: re-simulated.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 
 def stats_to_doc(stats: SimulationStats) -> Dict[str, Any]:

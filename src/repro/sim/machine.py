@@ -24,7 +24,7 @@ the other CPUs idle.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.accounting import Category, CycleCounters
 from ..core.engine import RewindAction, TLSEngine
@@ -64,6 +64,28 @@ from .timeline import (
 _BUSY = Category.BUSY
 _MISS = Category.MISS
 _OVERHEAD = Category.OVERHEAD
+
+
+class WarmState(NamedTuple):
+    """Functionally-warmed machine state (:meth:`Machine.warm_state`).
+
+    Architectural state only, as tuples and bytes: per CPU the L1's
+    per-set LRU tag order with its hit/miss tallies, and the branch
+    predictor's counters, history and tallies; the L2's per-set
+    ``(tag, dirty)`` committed lines in LRU order with its tallies; and
+    the metrics snapshot ``_collect_stats`` subtracts.
+    """
+
+    l1s: Tuple[tuple, ...]
+    predictors: Tuple[tuple, ...]
+    l2: tuple
+    metrics: Tuple[Tuple[str, float], ...]
+
+
+#: ``(warm trace, config, WarmState)`` of the last fresh-machine warm in
+#: this process (see :meth:`Machine.functional_warm`).  Holding the
+#: trace keeps its identity from being reused by another object.
+_WARM_MEMO: Optional[Tuple[WorkloadTrace, MachineConfig, WarmState]] = None
 
 
 class _BatchJournal:
@@ -338,10 +360,28 @@ class Machine:
         invalidations like the timed write-through path does.  Counter
         pollution from warming (L1/L2 hit/miss tallies, predictor
         updates) is snapshotted and subtracted in ``_collect_stats``.
+
+        A sampled unit's two detailed runs warm the same prefix object
+        under an equal config.  The last warm of a fresh machine is
+        therefore kept as a :class:`WarmState` in a one-entry
+        process-local memo keyed by (trace identity, config equality),
+        and a fresh machine asked for the same warm restores it instead
+        of replaying.
         """
+        global _WARM_MEMO
+        fresh = self._is_fresh()
+        memo = _WARM_MEMO
+        if (fresh and memo is not None and memo[0] is workload
+                and memo[1] == self.config):
+            self.restore_warm_state(memo[2])
+            return
         width = self._region_width()
         l2 = self.l2
-        lines_touched = l2.geom.lines_touched
+        load_line = l2.load_line
+        store_line = l2.store_line
+        line_mask = l2.geom.line_mask
+        line_size = l2.geom.line_size
+        LOAD, STORE, BRANCH = Rec.LOAD, Rec.STORE, Rec.BRANCH
         for txn in workload.transactions:
             for segment in txn.segments:
                 if isinstance(segment, SerialSegment):
@@ -355,28 +395,89 @@ class Machine:
                     raise TypeError(f"unknown segment {segment!r}")
                 for cpu_idx, records in assignments:
                     cpu = self.cpus[cpu_idx]
-                    l1 = cpu.l1
-                    predictor = cpu.pipeline.predictor
+                    l1_access = cpu.l1.access
+                    l1_fill = cpu.l1.fill
+                    predict = cpu.pipeline.predictor.predict_and_update
                     others = self._other_l1s[cpu_idx]
                     for rec in records:
+                        # Each access walks every line it spans through
+                        # the single-line paths.  Warming never enforces
+                        # inclusion, so interleaving L1 and L2 per line
+                        # leaves the same state as access-wide passes.
                         kind = rec[0]
-                        if kind == Rec.LOAD:
+                        if kind == LOAD:
                             addr, size = rec[1], rec[2]
-                            for tag in lines_touched(addr, size):
-                                if not l1.access(tag):
-                                    l1.fill(tag, spec=False)
-                            l2.load(addr, size, -1, None, False)
-                        elif kind == Rec.STORE:
+                            tag = addr & line_mask
+                            last = (
+                                addr + size - 1 if size > 1 else addr
+                            ) & line_mask
+                            while True:
+                                if not l1_access(tag):
+                                    l1_fill(tag, False)
+                                load_line(tag, -1, None, False, 0)
+                                if tag == last:
+                                    break
+                                tag += line_size
+                        elif kind == STORE:
                             addr, size = rec[1], rec[2]
-                            for tag in lines_touched(addr, size):
-                                if not l1.access(tag):
-                                    l1.fill(tag, spec=False)
+                            tag = addr & line_mask
+                            last = (
+                                addr + size - 1 if size > 1 else addr
+                            ) & line_mask
+                            while True:
+                                if not l1_access(tag):
+                                    l1_fill(tag, False)
                                 for other in others:
                                     other.invalidate(tag)
-                            l2.store(addr, size, -1, None)
-                        elif kind == Rec.BRANCH:
-                            predictor.predict_and_update(rec[1], rec[2])
+                                store_line(tag, -1, None, 0, None, False)
+                                if tag == last:
+                                    break
+                                tag += line_size
+                        elif kind == BRANCH:
+                            predict(rec[1], rec[2])
         self._warm_metrics = self.metrics().snapshot()
+        if fresh:
+            _WARM_MEMO = (workload, self.config, self.warm_state())
+
+    def _is_fresh(self) -> bool:
+        """Nothing has run or warmed on this machine yet."""
+        return (
+            self._warm_metrics is None
+            and self._epochs_total == 0
+            and not self.l2._sets
+            and not any(
+                c.l1._sets or c.pipeline.predictor.predictions
+                for c in self.cpus
+            )
+        )
+
+    def warm_state(self) -> WarmState:
+        """Immutable snapshot of functionally-warmed state.
+
+        Raises unless the machine holds architectural state only: no
+        speculative L1 line, L2 version, context bit or victim entry.
+        """
+        if self._warm_metrics is None:
+            raise RuntimeError("machine has not been functionally warmed")
+        return WarmState(
+            l1s=tuple(c.l1.warm_state() for c in self.cpus),
+            predictors=tuple(
+                c.pipeline.predictor.warm_state() for c in self.cpus
+            ),
+            l2=self.l2.warm_state(),
+            metrics=tuple(self._warm_metrics.items()),
+        )
+
+    def restore_warm_state(self, state: WarmState) -> None:
+        """Install a :meth:`warm_state` snapshot into a fresh machine."""
+        if not self._is_fresh():
+            raise RuntimeError("warm state restores into a fresh machine")
+        for cpu, l1, predictor in zip(self.cpus, state.l1s,
+                                      state.predictors):
+            cpu.l1.restore_warm_state(l1)
+            cpu.pipeline.predictor.restore_warm_state(predictor)
+        self.l2.restore_warm_state(state.l2)
+        self._warm_metrics = dict(state.metrics)
 
     def run(self, workload: WorkloadTrace) -> SimulationStats:
         """Replay the workload; returns the aggregated statistics."""
@@ -1553,6 +1654,8 @@ class Machine:
              lambda: engine.subthreads_started),
             ("engine.epochs_committed", lambda: engine.epochs_committed),
             ("engine.epochs_total", lambda: self._epochs_total),
+            ("engine.failed_instruction_replays",
+             lambda: engine.failed_instruction_replays),
             ("engine.load_predictor_entries",
              lambda: len(engine.load_predictor)),
             ("machine.deadlock_breaks", lambda: self._deadlock_breaks),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.memory.cache import CacheGeometry
-from repro.memory.l2 import COMMITTED, SpeculativeL2
+from repro.memory.l2 import COMMITTED, L2Entry, SpeculativeL2
 
 from conftest import DictDirectory
 
@@ -280,6 +280,18 @@ class TestInvariants:
         l2 = make_l2(directory)
         mask = l2.word_mask(A + 28, 16)  # extends past the 32B line
         assert mask == 0b10000000  # only the last word of the line
+
+
+class TestEntryIdentity:
+    def test_equal_fields_compare_unequal(self):
+        # Distinct versions can hold equal fields (two committed copies
+        # mid commit-merge); removal and LRU must never confuse them.
+        a = L2Entry(tag=0x1000, dirty=True)
+        b = L2Entry(tag=0x1000, dirty=True)
+        assert a != b
+        assert a == a
+        assert len({a, b}) == 2
+        assert b not in [a]
 
 
 class TestVersionIsolationProperty:

@@ -1,5 +1,7 @@
 """Integration tests for the CMP machine on synthetic workloads."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.accounting import Category
@@ -308,3 +310,76 @@ class TestRegionScheduling:
         )
         stats, _ = run(wl)
         assert stats.total_cycles == pytest.approx(50, abs=2)
+
+
+class TestFailedInstructionReplays:
+    """``failed_instruction_replays``: instructions retired by the
+    sub-threads a rewind discards, which must execute again."""
+
+    def one_violation(self):
+        # e1 loads A at its instruction 600 and finishes long before
+        # e0's store (~10k cycles in), so the store rewinds e1 to the
+        # sub-thread holding the load: with spacing 250 that is
+        # sub-thread 2, which starts at instruction 500.  Sub-threads
+        # 2..4 retired 1001 - 500 = 501 instructions.
+        e0 = [(Rec.COMPUTE, 40000), (Rec.STORE, A, 4, PC)]
+        e1 = [
+            (Rec.COMPUTE, 600),
+            (Rec.LOAD, A, 4, PC + 16),
+            (Rec.COMPUTE, 400),
+        ]
+        return workload([region(e0, e1)])
+
+    @pytest.mark.parametrize("compile_traces", [True, False])
+    def test_hand_counted_rewind(self, compile_traces):
+        cfg = dataclasses.replace(
+            MachineConfig.for_mode(ExecutionMode.BASELINE),
+            compile_traces=compile_traces,
+        )
+        stats = Machine(cfg).run(self.one_violation())
+        assert stats.primary_violations == 1
+        assert stats.secondary_violations == 0
+        assert stats.failed_instruction_replays == 501
+
+    def test_no_subthread_rewinds_whole_epoch(self):
+        stats, _ = run(self.one_violation(), ExecutionMode.NO_SUBTHREAD)
+        assert stats.primary_violations == 1
+        assert stats.failed_instruction_replays == 1001
+
+    @pytest.fixture(scope="class")
+    def figure5_tiny(self):
+        from repro.tpcc import BENCHMARKS
+        from repro.harness.runner import ExperimentContext, SimJob
+        from repro.tpcc import TPCCScale
+
+        ctx = ExperimentContext(n_transactions=2, scale=TPCCScale.tiny())
+        jobs = [
+            SimJob(config=MachineConfig.for_mode(mode),
+                   spec=ctx.spec(benchmark, mode=mode))
+            for benchmark in BENCHMARKS
+            for mode in ExecutionMode.ALL
+        ]
+        return ctx, jobs, ctx.run(jobs)
+
+    def test_figure5_tiny_jobs(self, figure5_tiny):
+        _, jobs, results = figure5_tiny
+        violated = 0
+        for job, stats in zip(jobs, results):
+            if job.config.mode_label in (ExecutionMode.SEQUENTIAL,
+                                         ExecutionMode.NO_SPECULATION):
+                assert stats.failed_instruction_replays == 0
+            if stats.primary_violations > 0:
+                violated += 1
+                assert stats.failed_instruction_replays > 0
+        assert violated > 0
+
+    def test_compiled_and_interpreted_agree(self, figure5_tiny):
+        ctx, jobs, results = figure5_tiny
+        for job, stats in zip(jobs, results):
+            if job.config.mode_label not in (ExecutionMode.BASELINE,
+                                             ExecutionMode.NO_SUBTHREAD):
+                continue
+            cfg = dataclasses.replace(job.config, compile_traces=False)
+            interpreted = Machine(cfg).run(ctx.runner.trace_for(job.spec))
+            assert (interpreted.failed_instruction_replays
+                    == stats.failed_instruction_replays)

@@ -400,6 +400,34 @@ class TestTracedRunner:
         assert any("tls_seq" in ln for ln in lines)
         assert any("baseline" in ln for ln in lines)
 
+    def test_report_header_from_run_finish(self, tmp_path, capsys):
+        # The header manifest is written before the run, so a harness
+        # run's wall time and trace keys come from run.finish.
+        from repro.harness.__main__ import main
+
+        path = tmp_path / "run.jsonl"
+        assert main([
+            "figure5", "--tiny", "--transactions", "2",
+            "--no-trace-cache", "--trace-out", str(path),
+        ]) == 0
+        capsys.readouterr()
+        records = [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        header = records[0]["manifest"]
+        assert header["wall_seconds"] is None
+        assert header["trace_spec_keys"] == []
+        finish = [
+            r["attrs"] for r in records
+            if r["type"] == "event" and r["name"] == "run.finish"
+        ]
+        assert len(finish) == 1
+        keys = finish[0]["trace_spec_keys"]
+        assert len(keys) == 14  # 7 benchmarks x {TLS, sequential} traces
+        report = render_report(path)
+        assert (f"wall time: {finish[0]['wall_seconds']}s"
+                f"  traces: 14") in report
+
     def test_untraced_machine_identical(self):
         # Tracing changes observation only, never simulation results.
         plain = Machine(MachineConfig()).run(tiny_workload())
